@@ -18,8 +18,6 @@ import (
 	"cachedarrays/internal/experiments"
 	"cachedarrays/internal/memsim"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/pagemig"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/units"
 )
 
@@ -67,22 +65,7 @@ func fig2Cells() []struct {
 
 func runMode(b *testing.B, m *models.Model, mode string, cfg engine.Config) *engine.Result {
 	b.Helper()
-	var r *engine.Result
-	var err error
-	switch mode {
-	case "2LM:0":
-		r, err = engine.Run2LM(m, false, cfg)
-	case "2LM:M":
-		r, err = engine.Run2LM(m, true, cfg)
-	case "CA:0":
-		r, err = engine.RunCA(m, policy.CAZero, cfg)
-	case "CA:L":
-		r, err = engine.RunCA(m, policy.CAL, cfg)
-	case "CA:LM":
-		r, err = engine.RunCA(m, policy.CALM, cfg)
-	case "CA:LMP":
-		r, err = engine.RunCA(m, policy.CALMP, cfg)
-	}
+	r, err := engine.Run(m, mode, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -110,16 +93,12 @@ func BenchmarkFig2IterationTime(b *testing.B) {
 // the peak occupancy.
 func BenchmarkFig3HeapOccupancy(b *testing.B) {
 	m := models.ResNet(200, 2048)
-	for _, memOpt := range []bool{false, true} {
-		name := "2LM:0"
-		if memOpt {
-			name = "2LM:M"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, mode := range []string{"2LM:0", "2LM:M"} {
+		b.Run(mode, func(b *testing.B) {
 			var r *engine.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = engine.Run2LM(m, memOpt, engine.Config{Iterations: benchIters, SampleHeap: true})
+				r, err = engine.Run(m, mode, engine.Config{Iterations: benchIters, SampleHeap: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -134,16 +113,12 @@ func BenchmarkFig3HeapOccupancy(b *testing.B) {
 // statistics of the ResNet 2LM runs.
 func BenchmarkFig4CacheStats(b *testing.B) {
 	m := models.ResNet(200, 2048)
-	for _, memOpt := range []bool{false, true} {
-		name := "2LM:0"
-		if memOpt {
-			name = "2LM:M"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, mode := range []string{"2LM:0", "2LM:M"} {
+		b.Run(mode, func(b *testing.B) {
 			var r *engine.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = engine.Run2LM(m, memOpt, engine.Config{Iterations: benchIters})
+				r, err = engine.Run(m, mode, engine.Config{Iterations: benchIters})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -206,7 +181,7 @@ func BenchmarkFig7DRAMSweep(b *testing.B) {
 				var r *engine.Result
 				for i := 0; i < b.N; i++ {
 					var err error
-					r, err = engine.RunCA(m, policy.CALM,
+					r, err = engine.Run(m, "CA:LM",
 						engine.Config{Iterations: benchIters, FastCapacity: budget})
 					if err != nil {
 						b.Fatal(err)
@@ -249,12 +224,12 @@ func BenchmarkFig7AsyncImplementation(b *testing.B) {
 			var sync, async *engine.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				sync, err = engine.RunCA(m, policy.CALM,
+				sync, err = engine.Run(m, "CA:LM",
 					engine.Config{Iterations: benchIters, FastCapacity: budget})
 				if err != nil {
 					b.Fatal(err)
 				}
-				async, err = engine.RunCA(m, policy.CALM,
+				async, err = engine.Run(m, "CA:LM",
 					engine.Config{Iterations: benchIters, FastCapacity: budget, AsyncMovement: true})
 				if err != nil {
 					b.Fatal(err)
@@ -271,23 +246,16 @@ func BenchmarkFig7AsyncImplementation(b *testing.B) {
 // ResNet 200: hardware caching, OS page tiering, and CachedArrays.
 func BenchmarkBaselineMechanisms(b *testing.B) {
 	m := models.ResNet(200, 2048)
-	run := func(name string, f func() (*engine.Result, error)) {
-		b.Run(name, func(b *testing.B) {
+	cfg := engine.Config{Iterations: benchIters}
+	for _, mode := range []string{"2LM:0", "OS:page", "CA:LM"} {
+		b.Run(mode, func(b *testing.B) {
 			var r *engine.Result
 			for i := 0; i < b.N; i++ {
-				var err error
-				r, err = f()
-				if err != nil {
-					b.Fatal(err)
-				}
+				r = runMode(b, m, mode, cfg)
 			}
 			b.ReportMetric(r.IterTime, "iter-s")
 		})
 	}
-	cfg := engine.Config{Iterations: benchIters}
-	run("2LM:0", func() (*engine.Result, error) { return engine.Run2LM(m, false, cfg) })
-	run("OS:page", func() (*engine.Result, error) { return engine.RunPageMig(m, pagemig.DefaultConfig(), cfg) })
-	run("CA:LM", func() (*engine.Result, error) { return engine.RunCA(m, policy.CALM, cfg) })
 }
 
 // BenchmarkDLRMExtension regenerates the §VI extension experiment,

@@ -11,7 +11,6 @@ import (
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/units"
 )
 
@@ -23,7 +22,7 @@ func runOnce(t *testing.T, dir, tag string, iters int) (csvPath, sumPath string)
 	reg.SetMeta("run", tag)
 	cfg := engine.Config{Iterations: iters, Metrics: reg,
 		FastCapacity: 2 * units.GB, SlowCapacity: 16 * units.GB}
-	if _, err := engine.RunCA(models.MLP(4096, []int{4096, 4096}, 1000, 16), policy.CALM, cfg); err != nil {
+	if _, err := engine.Run(models.MLP(4096, []int{4096, 4096}, 1000, 16), "CA:LM", cfg); err != nil {
 		t.Fatal(err)
 	}
 	csvPath = filepath.Join(dir, tag+".csv")

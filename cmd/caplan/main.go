@@ -18,7 +18,6 @@ import (
 
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/units"
 )
 
@@ -50,7 +49,7 @@ func main() {
 
 	// Reference: everything in DRAM.
 	refCfg := engine.Config{Iterations: *iters, FastCapacity: peak + peak/8, AsyncMovement: *async}
-	ref, err := engine.RunCA(m, policy.CALM, refCfg)
+	ref, err := engine.Run(m, "CA:LM", refCfg)
 	fatal(err)
 	fmt.Printf("all-DRAM reference: %s/iteration\n\n", units.Seconds(ref.IterTime))
 	fmt.Printf("%-12s %-8s %-12s %-10s %s\n", "DRAM", "mode", "iter", "slowdown", "verdict")
@@ -59,16 +58,16 @@ func main() {
 	var bestBudget int64 = -1
 	var bestMode string
 	for _, b := range budgets {
-		for _, mode := range []policy.Mode{policy.CALM, policy.CALMP} {
+		for _, mode := range []string{"CA:LM", "CA:LMP"} {
 			cfg := engine.Config{Iterations: *iters, FastCapacity: b, AsyncMovement: *async}
-			r, err := engine.RunCA(m, mode, cfg)
+			r, err := engine.Run(m, mode, cfg)
 			fatal(err)
 			slow := r.IterTime / ref.IterTime
 			verdict := ""
 			if slow <= *tolerance {
 				verdict = "ok"
 				if bestBudget == -1 || b < bestBudget {
-					bestBudget, bestMode = b, mode.String()
+					bestBudget, bestMode = b, mode
 				}
 			}
 			fmt.Printf("%-12s %-8s %-12s %-10.2f %s\n",

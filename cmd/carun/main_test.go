@@ -10,7 +10,6 @@ import (
 
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/metrics"
-	"cachedarrays/internal/sched"
 	"cachedarrays/internal/tracing"
 	"cachedarrays/internal/units"
 )
@@ -41,7 +40,7 @@ func TestRunModeDispatch(t *testing.T) {
 		FastCapacity: 2 * units.GB, SlowCapacity: 16 * units.GB}
 	for _, mode := range []string{"2LM:0", "2lm:m", "CA:0", "ca:l", "CA:LM",
 		"CA:LMP", "os:page", "AutoTM", "plan"} {
-		r, err := sched.RunMode(m, mode, cfg)
+		r, err := engine.Run(m, mode, cfg)
 		if err != nil {
 			t.Errorf("%s: %v", mode, err)
 			continue
@@ -50,7 +49,7 @@ func TestRunModeDispatch(t *testing.T) {
 			t.Errorf("%s: zero iteration time", mode)
 		}
 	}
-	if _, err := sched.RunMode(m, "NUMA", cfg); err == nil {
+	if _, err := engine.Run(m, "NUMA", cfg); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/tracing"
 )
 
@@ -164,7 +163,7 @@ func TestFaultTableAttributesDegradation(t *testing.T) {
 // export to a temp file, returning the path and raw bytes.
 func writeTraceFile(t *testing.T) (string, []byte) {
 	t.Helper()
-	r, err := engine.RunCA(models.MLP(4096, []int{4096, 4096}, 1000, 16), policy.CALM,
+	r, err := engine.Run(models.MLP(4096, []int{4096, 4096}, 1000, 16), "CA:LM",
 		engine.Config{Iterations: 2, Trace: true,
 			FastCapacity: 2 * 1 << 30, SlowCapacity: 16 * 1 << 30})
 	if err != nil {
@@ -255,7 +254,7 @@ func TestFaultTableOmittedForCleanTrace(t *testing.T) {
 // engine run's trace, fed through the same printers the CLI uses, must
 // surface retries and faults attributed to hint windows.
 func TestFaultTableOnRealFaultedRun(t *testing.T) {
-	r, err := engine.RunCA(models.ResNet(50, 512), policy.CALMP, engine.Config{
+	r, err := engine.Run(models.ResNet(50, 512), "CA:LMP", engine.Config{
 		Iterations: 2,
 		Trace:      true,
 		FaultSpec:  "seed=3;allocfail:fast:t0=0,p=0.3;copyerr:t0=0,p=0.2",

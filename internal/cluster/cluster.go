@@ -50,7 +50,7 @@ type Job struct {
 	// Build constructs the job's model when Model is nil. It must be
 	// deterministic.
 	Build func() (*models.Model, error)
-	// Mode is the operating mode (any sched.Normalize spelling).
+	// Mode is the operating mode (any engine.Normalize spelling).
 	Mode string
 	// Arrival is the job's arrival offset in virtual seconds: the origin
 	// of its private event timeline, so jobs arriving later merge later.
@@ -352,7 +352,7 @@ func prepare(cfg Config) ([]*tenant, engine.Config, error) {
 	tenants := make([]*tenant, len(cfg.Jobs))
 	labels := make(map[string]int, len(cfg.Jobs))
 	for i, j := range cfg.Jobs {
-		mode, err := sched.Normalize(j.Mode)
+		mode, err := engine.Normalize(j.Mode)
 		if err != nil {
 			return nil, ecfg, fmt.Errorf("cluster: job %d: %w", i, err)
 		}

@@ -47,7 +47,7 @@ func TestSoloIdentityAllModes(t *testing.T) {
 			cfg := tight
 			cfg.Trace = true
 			cfg.CheckEveryAdvance = true
-			solo, err := sched.RunMode(movementHeavy(), mode, cfg)
+			solo, err := engine.Run(movementHeavy(), mode, cfg)
 			if err != nil {
 				t.Fatalf("solo: %v", err)
 			}
@@ -78,7 +78,7 @@ func TestSoloIdentityAsync(t *testing.T) {
 	cfg := tight
 	cfg.AsyncMovement = true
 	cfg.HintLookahead = 2
-	solo, err := sched.RunMode(movementHeavy(), "CA:LMP", cfg)
+	solo, err := engine.Run(movementHeavy(), "CA:LMP", cfg)
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}

@@ -4,18 +4,17 @@ import (
 	"fmt"
 
 	"cachedarrays/internal/gcsim"
-	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/policy"
 )
 
-// Adaptive policy variants: names accepted by RunCAAdaptive and exposed
-// as scheduler modes. Each stacks adaptive layers on the full CA:LMP
-// switch set — the adaptive layers refine the strongest static baseline
-// rather than replace it.
+// Adaptive policy variants: mode names accepted by Run and NewStepper.
+// Each stacks adaptive layers on the full CA:LMP switch set — the
+// adaptive layers refine the strongest static baseline rather than
+// replace it.
 const (
 	// AdaptiveOG is online guidance alone: interval-based profiling and
-	// re-placement steered by the live metrics registry.
+	// re-placement steered by the slow tier's bus utilization.
 	AdaptiveOG = "CA:OG"
 	// AdaptiveTG is the thrash guard alone over the static policy:
 	// evict/fetch ping-pong detection with fetch backoff.
@@ -27,28 +26,13 @@ const (
 // AdaptiveModes lists the adaptive variants in rank order.
 var AdaptiveModes = []string{AdaptiveOG, AdaptiveTG, AdaptiveOGTG}
 
-// RunCAAdaptive executes a training run under an adaptive policy stack.
-// The stack always needs a live metrics registry (online guidance steers
-// by the slow tier's bandwidth-utilization series); when the caller did
-// not provide one, a private registry is created for the run. Sampling
-// never advances the clock or perturbs simulation state, so an adaptive
-// run with a private registry is exactly as deterministic — and as
-// cacheable — as a static one.
-func RunCAAdaptive(model *models.Model, variant string, cfg Config) (*Result, error) {
-	st, err := newAdaptiveStepper(model, variant, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
-}
-
-// newAdaptiveStepper builds the event-driven form of RunCAAdaptive.
+// newAdaptiveStepper builds a run under an adaptive policy stack. Online
+// guidance steers by the slow tier's bus utilization, read straight from
+// the platform by bwUtil — the same function the mem_<dev>_bw_util
+// series publishes — so an adaptive run needs no metrics registry and,
+// like a static one, registers series only into cfg.Metrics.
 func newAdaptiveStepper(model *models.Model, variant string, cfg Config, env *Env) (*caStepper, error) {
 	cfg = cfg.withDefaults()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New(0)
-	}
 	p, release := env.acquire(cfg)
 	m, err := newManager(p, cfg, env)
 	if err != nil {
@@ -58,20 +42,20 @@ func newAdaptiveStepper(model *models.Model, variant string, cfg Config, env *En
 	pcfg := policy.ConfigFor(policy.CALMP)
 	pcfg.PreferCleanVictims = cfg.PreferCleanVictims
 	base := policy.NewTieredConfig(m, pcfg, variant, gc)
-	slowUtil := "mem_" + p.Slow.Name + "_bw_util"
 	now := p.Clock.Now
+	slowUtil := bwUtil(p, p.Slow)
 
 	var pol policy.Runtime
 	switch variant {
 	case AdaptiveOG:
-		pol = policy.NewOnlineGuidance(base, policy.GuidanceConfig{}, now, reg, slowUtil)
+		pol = policy.NewOnlineGuidance(base, policy.GuidanceConfig{}, now, slowUtil)
 	case AdaptiveTG:
 		pol = policy.NewThrashGuard(base, base, policy.ThrashConfig{}, now)
 	case AdaptiveOGTG:
-		og := policy.NewOnlineGuidance(base, policy.GuidanceConfig{}, now, reg, slowUtil)
+		og := policy.NewOnlineGuidance(base, policy.GuidanceConfig{}, now, slowUtil)
 		pol = policy.NewThrashGuard(og, base, policy.ThrashConfig{}, now)
 	default:
 		return nil, fmt.Errorf("engine: unknown adaptive variant %q", variant)
 	}
-	return newCAStepper(model, pol, gc, p, m, cfg, reg, release, env)
+	return newCAStepper(model, pol, gc, p, m, cfg, release, env)
 }

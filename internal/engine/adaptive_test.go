@@ -7,7 +7,6 @@ import (
 
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/units"
 )
 
@@ -53,11 +52,11 @@ func thrashCfg() (*models.Model, Config) {
 // churn, and beats the static CA:LMP baseline on movement and time.
 func TestThrashGuardDampsPingPong(t *testing.T) {
 	m, cfg := thrashCfg()
-	lmp, err := RunCA(m, policy.CALMP, cfg)
+	lmp, err := Run(m, "CA:LMP", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, err := RunCAAdaptive(m, AdaptiveTG, cfg)
+	tg, err := Run(m, AdaptiveTG, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +83,11 @@ func TestThrashGuardDampsPingPong(t *testing.T) {
 func TestOnlineGuidanceBeatsStaticBaseline(t *testing.T) {
 	m := models.ResNet(50, 128)
 	cfg := Config{Iterations: 2, FastCapacity: 2 * units.GB, SlowCapacity: 64 * units.GB}
-	og, err := RunCAAdaptive(m, AdaptiveOG, cfg)
+	og, err := Run(m, AdaptiveOG, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunCA(m, policy.CAZero, cfg)
+	base, err := Run(m, "CA:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,23 +105,22 @@ func TestAdaptiveInvariants(t *testing.T) {
 	m, cfg := thrashCfg()
 	cfg.CheckInvariants = true
 	for _, v := range AdaptiveModes {
-		if _, err := RunCAAdaptive(m, v, cfg); err != nil {
+		if _, err := Run(m, v, cfg); err != nil {
 			t.Errorf("%s: %v", v, err)
 		}
 	}
 }
 
 // TestAdaptiveDeterministic: adaptive runs must be exactly reproducible —
-// the property the scheduler's result cache depends on. The private
-// registry the guidance policy steers by never perturbs the simulation.
+// the property the scheduler's result cache depends on.
 func TestAdaptiveDeterministic(t *testing.T) {
 	m, cfg := thrashCfg()
 	for _, v := range AdaptiveModes {
-		a, err := RunCAAdaptive(m, v, cfg)
+		a, err := Run(m, v, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
-		b, err := RunCAAdaptive(m, v, cfg)
+		b, err := Run(m, v, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -139,7 +137,7 @@ func TestAdaptiveCallerRegistry(t *testing.T) {
 	m, cfg := thrashCfg()
 	reg := metrics.New(0)
 	cfg.Metrics = reg
-	r, err := RunCAAdaptive(m, AdaptiveOGTG, cfg)
+	r, err := Run(m, AdaptiveOGTG, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +159,35 @@ func TestAdaptiveCallerRegistry(t *testing.T) {
 // TestAdaptiveUnknownVariant: the dispatcher rejects unknown names.
 func TestAdaptiveUnknownVariant(t *testing.T) {
 	m, cfg := thrashCfg()
-	if _, err := RunCAAdaptive(m, "CA:BOGUS", cfg); err == nil {
+	if _, err := Run(m, "CA:BOGUS", cfg); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+}
+
+// TestAdaptiveBuildsNoRegistry: the guidance signal comes from the
+// platform, so an adaptive run without Config.Metrics hands the owner no
+// registry to tick; with one, the owner receives exactly that registry.
+func TestAdaptiveBuildsNoRegistry(t *testing.T) {
+	m, base := thrashCfg()
+	for _, mode := range AdaptiveModes {
+		for _, reg := range []*metrics.Registry{nil, metrics.New(0)} {
+			cfg := base
+			cfg.Metrics = reg
+			p, release := AcquirePlatform(cfg)
+			var got []*metrics.Registry
+			env := &Env{Platform: p, OnRegistry: func(r *metrics.Registry) { got = append(got, r) }}
+			if _, err := drive(NewStepper(m, mode, cfg, env)); err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+			release()
+			var want []*metrics.Registry
+			if reg != nil {
+				want = append(want, reg)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s with Metrics=%v: OnRegistry received %d registries, want %d",
+					mode, reg != nil, len(got), len(want))
+			}
+		}
 	}
 }

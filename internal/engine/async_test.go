@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/units"
 )
 
@@ -17,11 +16,11 @@ import (
 func TestAsyncMatchesFig7Projection(t *testing.T) {
 	m := models.DenseNet(264, 504)
 	for _, budget := range []int64{60 * units.GB, 10 * units.GB} {
-		sync, err := RunCA(m, policy.CALM, Config{Iterations: 2, FastCapacity: budget})
+		sync, err := Run(m, "CA:LM", Config{Iterations: 2, FastCapacity: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
-		async, err := RunCA(m, policy.CALM, Config{
+		async, err := Run(m, "CA:LM", Config{
 			Iterations: 2, FastCapacity: budget,
 			AsyncMovement: true, CheckInvariants: true,
 		})
@@ -48,7 +47,7 @@ func TestAsyncFlatAcrossBudgets(t *testing.T) {
 	m := models.DenseNet(264, 504)
 	var times []float64
 	for _, budget := range []int64{120 * units.GB, 60 * units.GB, 10 * units.GB} {
-		r, err := RunCA(m, policy.CALM, Config{
+		r, err := Run(m, "CA:LM", Config{
 			Iterations: 2, FastCapacity: budget, AsyncMovement: true,
 		})
 		if err != nil {
@@ -68,11 +67,11 @@ func TestAsyncFlatAcrossBudgets(t *testing.T) {
 // asynchronous movement.
 func TestAsyncVGGStillDegrades(t *testing.T) {
 	m := models.VGG(116, 320)
-	full, err := RunCA(m, policy.CALM, Config{Iterations: 2, FastCapacity: 180 * units.GB, AsyncMovement: true})
+	full, err := Run(m, "CA:LM", Config{Iterations: 2, FastCapacity: 180 * units.GB, AsyncMovement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := RunCA(m, policy.CALM, Config{Iterations: 2, FastCapacity: 10 * units.GB, AsyncMovement: true})
+	low, err := Run(m, "CA:LM", Config{Iterations: 2, FastCapacity: 10 * units.GB, AsyncMovement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestAsyncVGGStillDegrades(t *testing.T) {
 // while unrelated background writebacks do not serialize with it.
 func TestAsyncDataDependenciesRespected(t *testing.T) {
 	m := models.MLP(4096, []int{4096, 4096}, 1000, 512)
-	r, err := RunCA(m, policy.CALMP, Config{
+	r, err := Run(m, "CA:LMP", Config{
 		Iterations: 2, FastCapacity: 64 * units.MB, SlowCapacity: 8 * units.GB,
 		AsyncMovement: true, HintLookahead: 2, CheckInvariants: true,
 	})

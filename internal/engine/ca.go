@@ -9,7 +9,6 @@ import (
 	"cachedarrays/internal/gcsim"
 	"cachedarrays/internal/invariants"
 	"cachedarrays/internal/memsim"
-	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/policy"
 	"cachedarrays/internal/trace"
@@ -33,17 +32,8 @@ func resolveCapacity(c, def int64) int64 {
 	}
 }
 
-// RunCA executes a training run under the CachedArrays runtime in the
-// given operating mode.
-func RunCA(model *models.Model, mode policy.Mode, cfg Config) (*Result, error) {
-	st, err := newCAModeStepper(model, mode, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
-}
-
-// newCAModeStepper builds the event-driven form of RunCA.
+// newCAModeStepper builds a run under the CachedArrays runtime in one of
+// the paper's static operating modes.
 func newCAModeStepper(model *models.Model, mode policy.Mode, cfg Config, env *Env) (*caStepper, error) {
 	cfg = cfg.withDefaults()
 	p, release := env.acquire(cfg)
@@ -55,7 +45,7 @@ func newCAModeStepper(model *models.Model, mode policy.Mode, cfg Config, env *En
 	pcfg := policy.ConfigFor(mode)
 	pcfg.PreferCleanVictims = cfg.PreferCleanVictims
 	pol := policy.NewTieredConfig(m, pcfg, mode.String(), gc)
-	return newCAStepper(model, pol, gc, p, m, cfg, cfg.Metrics, release, env)
+	return newCAStepper(model, pol, gc, p, m, cfg, release, env)
 }
 
 // newManager builds the data manager with the configured heap allocator,
@@ -95,23 +85,6 @@ func newManager(p *memsim.Platform, cfg Config, env *Env) (*dm.Manager, error) {
 	return dm.NewWithAllocators(p, env.limitFast(fast), env.limitSlow(slow)), nil
 }
 
-// RunCAConfig is RunCA with explicit policy switches (ablations).
-func RunCAConfig(model *models.Model, pcfg policy.Config, name string, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	p, release := acquirePlatform(cfg)
-	m, err := newManager(p, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	gc := gcsim.New(m, p.Clock)
-	pol := policy.NewTieredConfig(m, pcfg, name, gc)
-	st, err := newCAStepper(model, pol, gc, p, m, cfg, cfg.Metrics, release, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
-}
-
 // caStepper is the event-driven CachedArrays run: construction performs
 // setup (instrumentation wiring, persistent-tensor allocation), every
 // Step executes one kernel event or one iteration boundary, and Finish
@@ -120,14 +93,10 @@ func RunCAConfig(model *models.Model, pcfg policy.Config, name string, cfg Confi
 // events interleave with other tenants' on the shared platform.
 //
 // pol is any policy runtime — the plain Tiered for the paper modes, a
-// wrapped adaptive stack for the CA:OG/CA:TG variants. reg is the
-// registry the run's series register into; it is usually cfg.Metrics,
-// but adaptive runs pass a private registry when the caller did not ask
-// for one (the guidance policy steers by live series, and sampling never
-// perturbs the simulation, so those runs stay cacheable). release
-// returns the platform to the pool and runs only on the success path
-// (error paths abandon the platform in whatever state the failure left
-// it).
+// wrapped adaptive stack for the CA:OG/CA:TG variants. The run's series
+// register into cfg.Metrics (nil records nothing). release returns the
+// platform to the pool and runs only on the success path (error paths
+// abandon the platform in whatever state the failure left it).
 type caStepper struct {
 	model   *models.Model
 	pol     policy.Runtime
@@ -135,7 +104,6 @@ type caStepper struct {
 	p       *memsim.Platform
 	m       *dm.Manager
 	cfg     Config
-	reg     *metrics.Registry
 	release func()
 
 	sched  *trace.Schedule
@@ -176,15 +144,14 @@ type caStepper struct {
 // first-touches all heaps before measuring, so setup traffic is excluded
 // from iteration metrics).
 func newCAStepper(model *models.Model, pol policy.Runtime, gc *gcsim.Collector,
-	p *memsim.Platform, m *dm.Manager, cfg Config, reg *metrics.Registry,
-	release func(), env *Env) (*caStepper, error) {
+	p *memsim.Platform, m *dm.Manager, cfg Config, release func(), env *Env) (*caStepper, error) {
 
 	sched := trace.New(model)
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
 	s := &caStepper{
-		model: model, pol: pol, gc: gc, p: p, m: m, cfg: cfg, reg: reg,
+		model: model, pol: pol, gc: gc, p: p, m: m, cfg: cfg,
 		release: release, sched: sched,
 		res: &Result{ModelName: model.Name, Mode: pol.Name(), Config: cfg},
 	}
@@ -237,6 +204,7 @@ func newCAStepper(model *models.Model, pol policy.Runtime, gc *gcsim.Collector,
 	// nil-safety discipline: every layer registers its series, the clock
 	// (or the cluster's fan-out hook) drives sampling, and a nil registry
 	// records nothing.
+	reg := cfg.Metrics
 	registerPlatformMetrics(reg, p)
 	env.attachRegistry(reg, p)
 	m.RegisterMetrics(reg)
@@ -571,7 +539,7 @@ func (s *caStepper) Finish() (*Result, error) {
 			res.Trace = s.tr.Events()
 		}
 	}
-	finishMetrics(s.reg, s.model.Name, s.pol.Name(), p.Clock.Now())
+	finishMetrics(s.cfg.Metrics, s.model.Name, s.pol.Name(), p.Clock.Now())
 	s.release()
 	res.aggregate()
 	return res, nil

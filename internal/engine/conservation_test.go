@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/units"
 )
 
@@ -14,7 +13,7 @@ import (
 // NVRAM write by the copy engine; kernel writes add on top.
 func TestByteConservation(t *testing.T) {
 	m := models.DenseNet(264, 504)
-	r, err := RunCA(m, policy.CALM, Config{Iterations: 2, FastCapacity: 60 * units.GB})
+	r, err := Run(m, "CA:LM", Config{Iterations: 2, FastCapacity: 60 * units.GB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestByteConservation(t *testing.T) {
 // the baseline: steady-state iterations must agree.
 func Test2LMIterationConsistency(t *testing.T) {
 	m := models.ResNet(200, 640)
-	r, err := Run2LM(m, true, Config{Iterations: 4})
+	r, err := Run(m, "2LM:M", Config{Iterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func Test2LMIterationConsistency(t *testing.T) {
 // TestResultStringReadable guards the human-facing summary line.
 func TestResultStringReadable(t *testing.T) {
 	m := models.MLP(64, []int{32}, 4, 8)
-	r, err := RunCA(m, policy.CALM, Config{Iterations: 1,
+	r, err := Run(m, "CA:LM", Config{Iterations: 1,
 		FastCapacity: units.GB, SlowCapacity: 4 * units.GB})
 	if err != nil {
 		t.Fatal(err)

@@ -11,15 +11,15 @@ import (
 // optimization ordering, while the symmetric link compresses the gaps.
 func TestCXLPortability(t *testing.T) {
 	cfg := Config{Iterations: 2, CheckInvariants: true, SlowTier: "cxl"}
-	r0, err := RunCA(denseLarge, policy.CAZero, cfg)
+	r0, err := Run(denseLarge, "CA:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := RunCA(denseLarge, policy.CAL, cfg)
+	rl, err := Run(denseLarge, "CA:L", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rlm, err := RunCA(denseLarge, policy.CALM, cfg)
+	rlm, err := Run(denseLarge, "CA:LM", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

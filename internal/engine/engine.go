@@ -32,7 +32,7 @@ type Config struct {
 	// Iterations to run (paper: 4). The first iteration is warm-up; the
 	// reported Result averages the remaining ones.
 	Iterations int
-	// TwoLM configures the hardware cache for Run2LM.
+	// TwoLM configures the hardware cache for the 2LM modes.
 	TwoLM twolm.Config
 	// SampleHeap records the resident-heap time series (Fig. 3).
 	SampleHeap bool

@@ -25,9 +25,9 @@ func runCAT(t *testing.T, m *models.Model, mode policy.Mode, cfg Config) *Result
 	if r, ok := resultCache[key]; ok {
 		return r
 	}
-	r, err := RunCA(m, mode, cfg)
+	r, err := Run(m, mode.String(), cfg)
 	if err != nil {
-		t.Fatalf("RunCA(%s, %v): %v", m.Name, mode, err)
+		t.Fatalf("Run(%s, %v): %v", m.Name, mode, err)
 	}
 	resultCache[key] = r
 	return r
@@ -39,12 +39,26 @@ func run2LMT(t *testing.T, m *models.Model, memOpt bool, cfg Config) *Result {
 	if r, ok := resultCache[key]; ok {
 		return r
 	}
-	r, err := Run2LM(m, memOpt, cfg)
+	mode := "2LM:0"
+	if memOpt {
+		mode = "2LM:M"
+	}
+	r, err := Run(m, mode, cfg)
 	if err != nil {
-		t.Fatalf("Run2LM(%s, %v): %v", m.Name, memOpt, err)
+		t.Fatalf("Run(%s, %s): %v", m.Name, mode, err)
 	}
 	resultCache[key] = r
 	return r
+}
+
+// drive runs a stepper built directly by its constructor — the path for
+// tests that need a custom pagemig.Config or planner.Plan, which Run's
+// mode names do not carry.
+func drive(st Stepper, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return Drive(st)
 }
 
 var (
@@ -59,7 +73,7 @@ var checked = Config{Iterations: 2, CheckInvariants: true}
 func TestRunCAInvariantsAllModes(t *testing.T) {
 	m := models.ResNet(50, 128)
 	for _, mode := range policy.Modes {
-		if _, err := RunCA(m, mode, Config{Iterations: 3, CheckInvariants: true,
+		if _, err := Run(m, mode.String(), Config{Iterations: 3, CheckInvariants: true,
 			FastCapacity: 4 * units.GB, SlowCapacity: 64 * units.GB}); err != nil {
 			t.Errorf("%v: %v", mode, err)
 		}
@@ -68,10 +82,10 @@ func TestRunCAInvariantsAllModes(t *testing.T) {
 
 func TestRun2LMInvariants(t *testing.T) {
 	m := models.ResNet(50, 128)
-	for _, memOpt := range []bool{false, true} {
-		if _, err := Run2LM(m, memOpt, Config{Iterations: 3, CheckInvariants: true,
+	for _, mode := range []string{"2LM:0", "2LM:M"} {
+		if _, err := Run(m, mode, Config{Iterations: 3, CheckInvariants: true,
 			FastCapacity: 4 * units.GB, SlowCapacity: 64 * units.GB}); err != nil {
-			t.Errorf("memOpt=%v: %v", memOpt, err)
+			t.Errorf("%s: %v", mode, err)
 		}
 	}
 }
@@ -270,11 +284,11 @@ func TestSmallModelsFitInDRAM(t *testing.T) {
 // and the M curve turns downward during the backward pass.
 func TestFig3HeapOccupancyShapes(t *testing.T) {
 	cfg := Config{Iterations: 2, SampleHeap: true}
-	r0, err := Run2LM(resnetLarge, false, cfg)
+	r0, err := Run(resnetLarge, "2LM:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := Run2LM(resnetLarge, true, cfg)
+	rm, err := Run(resnetLarge, "2LM:M", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +312,7 @@ func TestFig3HeapOccupancyShapes(t *testing.T) {
 // TestIterationConsistency mirrors the paper's methodology check: behavior
 // across measured iterations must be consistent.
 func TestIterationConsistency(t *testing.T) {
-	r, err := RunCA(denseSmall, policy.CALM, Config{Iterations: 4})
+	r, err := Run(denseSmall, "CA:LM", Config{Iterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,14 +368,50 @@ func TestTrafficConservation(t *testing.T) {
 // TestConfigErrors exercises failure paths.
 func TestConfigErrors(t *testing.T) {
 	tiny := Config{Iterations: 1, FastCapacity: units.MB, SlowCapacity: units.MB}
-	if _, err := RunCA(models.MLP(1024, []int{4096}, 10, 64), policy.CALM, tiny); err == nil {
+	if _, err := Run(models.MLP(1024, []int{4096}, 10, 64), "CA:LM", tiny); err == nil {
 		t.Error("over-capacity CA run succeeded")
 	}
-	if _, err := Run2LM(models.MLP(1024, []int{4096}, 10, 64), true, tiny); err == nil {
+	if _, err := Run(models.MLP(1024, []int{4096}, 10, 64), "2LM:M", tiny); err == nil {
 		t.Error("over-capacity 2LM run succeeded")
 	}
 	bad := Config{Iterations: 1, TwoLM: twolm.Config{LineSize: -5}}
-	if _, err := Run2LM(models.MLP(16, []int{8}, 2, 4), true, bad); err == nil {
+	if _, err := Run(models.MLP(16, []int{8}, 2, 4), "2LM:M", bad); err == nil {
 		t.Error("bad 2LM config accepted")
+	}
+}
+
+// TestNormalizeAliases pins the canonical names and the accepted alias
+// spellings (which must all share one cache key space), and that Run
+// accepts any of them.
+func TestNormalizeAliases(t *testing.T) {
+	want := map[string]string{
+		"2LM:0": "2LM:0", "2lm:o": "2LM:0", "2LM:M": "2LM:M",
+		"CA:0": "CA:0", "ca:o": "CA:0", "CA:L": "CA:L",
+		"ca:lm": "CA:LM", "CA:LMP": "CA:LMP",
+		"ca:og": "CA:OG", "CA:TG": "CA:TG", "ca:tgog": "CA:OGTG",
+		"os": "OS:page", "OS:PAGE": "OS:page",
+		"AutoTM": "AutoTM", "plan": "AutoTM", "autotm:plan": "AutoTM",
+	}
+	for in, out := range want {
+		got, err := Normalize(in)
+		if err != nil {
+			t.Errorf("%s: %v", in, err)
+		} else if got != out {
+			t.Errorf("Normalize(%s) = %s, want %s", in, got, out)
+		}
+	}
+	if _, err := Normalize("NUMA"); err == nil {
+		t.Error("unknown mode normalized")
+	}
+	m := models.MLP(16, []int{8}, 2, 4)
+	r, err := Run(m, "os", Config{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Mode != "OS:page" {
+		t.Errorf("Run(os) ran mode %q, want OS:page", r.Mode)
+	}
+	if _, err := Run(m, "NUMA", Config{Iterations: 1}); err == nil {
+		t.Error("Run accepted an unknown mode")
 	}
 }

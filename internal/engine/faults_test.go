@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/tracing"
 )
 
@@ -19,13 +18,13 @@ func TestFaultlessInjectorByteIdentical(t *testing.T) {
 	model := models.ResNet(50, 256)
 	base := Config{Iterations: 3, Trace: true, CheckInvariants: true}
 
-	r1, err := RunCA(model, policy.CALMP, base)
+	r1, err := Run(model, "CA:LMP", base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withInjector := base
 	withInjector.FaultSpec = "seed=12345" // injector wired, no episodes
-	r2, err := RunCA(model, policy.CALMP, withInjector)
+	r2, err := Run(model, "CA:LMP", withInjector)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestPaperScaleFaultedRunCompletes(t *testing.T) {
 			"bw:nvram:t0=10,t1=40,factor=0.25;" +
 			"shrink:fast:t0=30,bytes=60GB",
 	}
-	r, err := RunCA(model, policy.CALMP, cfg)
+	r, err := Run(model, "CA:LMP", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,17 +35,26 @@ func registerPlatformMetrics(reg *metrics.Registry, p *memsim.Platform) {
 		reg.CounterFunc("mem_"+name+"_busy_seconds", func() float64 {
 			return d.Counters().BusyTime
 		})
-		peak := (d.Profile.PeakRead + d.Profile.PeakWrite) / 2
-		reg.Gauge("mem_"+name+"_bw_util", func() float64 {
-			now := p.Clock.Now()
-			if now <= 0 || peak <= 0 {
-				return 0
-			}
-			return float64(d.Counters().TotalBytes()) / now / peak
-		})
+		reg.Gauge("mem_"+name+"_bw_util", bwUtil(p, d))
 	}
 	reg.Gauge("copy_queue_depth", func() float64 { return float64(p.Copier.QueueDepth()) })
 	reg.Gauge("copy_backlog_seconds", func() float64 { return p.Copier.Backlog() })
+}
+
+// bwUtil returns device d's achieved bandwidth over the run so far as a
+// fraction of its mixed peak — the Fig. 6 bus-utilization metric. It is
+// both the mem_<dev>_bw_util series and the signal online guidance
+// steers by, so the published number and the steered-by number cannot
+// diverge.
+func bwUtil(p *memsim.Platform, d *memsim.Device) func() float64 {
+	peak := (d.Profile.PeakRead + d.Profile.PeakWrite) / 2
+	return func() float64 {
+		now := p.Clock.Now()
+		if now <= 0 || peak <= 0 {
+			return 0
+		}
+		return float64(d.Counters().TotalBytes()) / now / peak
+	}
 }
 
 // runMetrics is the engine's own instrumentation: the per-iteration kernel

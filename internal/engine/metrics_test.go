@@ -6,8 +6,6 @@ import (
 
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/pagemig"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/tracing"
 )
 
@@ -21,13 +19,13 @@ func TestMetricsDoNotPerturbRun(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		base := Config{Iterations: 3, Trace: true, CheckInvariants: true, AsyncMovement: async}
 
-		r1, err := RunCA(model, policy.CALMP, base)
+		r1, err := Run(model, "CA:LMP", base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		instrumented := base
 		instrumented.Metrics = metrics.New(0)
-		r2, err := RunCA(model, policy.CALMP, instrumented)
+		r2, err := Run(model, "CA:LMP", instrumented)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,28 +49,52 @@ func TestMetricsByteIdenticalBaselines(t *testing.T) {
 	instrumented := base
 	instrumented.Metrics = metrics.New(0)
 
-	runs := []struct {
-		name string
-		run  func(cfg Config) (*Result, error)
-	}{
-		{"2LM", func(cfg Config) (*Result, error) { return Run2LM(model, false, cfg) }},
-		{"pagemig", func(cfg Config) (*Result, error) { return RunPageMig(model, pagemig.Config{}, cfg) }},
-		{"planned", func(cfg Config) (*Result, error) { return RunPlanned(model, nil, cfg) }},
-	}
-	for _, tc := range runs {
-		r1, err := tc.run(base)
+	for _, mode := range []string{"2LM:0", "OS:page", "AutoTM"} {
+		r1, err := Run(model, mode, base)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", mode, err)
 		}
 		cfg := instrumented
 		cfg.Metrics = metrics.New(0) // fresh registry per run (series re-register)
-		r2, err := tc.run(cfg)
+		r2, err := Run(model, mode, cfg)
 		if err != nil {
-			t.Fatalf("%s instrumented: %v", tc.name, err)
+			t.Fatalf("%s instrumented: %v", mode, err)
 		}
 		r1.Config, r2.Config = Config{}, Config{}
 		if !reflect.DeepEqual(r1, r2) {
-			t.Errorf("%s: results diverged: iter %v vs %v", tc.name, r1.IterTime, r2.IterTime)
+			t.Errorf("%s: results diverged: iter %v vs %v", mode, r1.IterTime, r2.IterTime)
+		}
+	}
+}
+
+// TestMetricsDoNotPerturbAdaptive extends the contract to the online
+// guidance stacks, whose throttle reads the slow tier's bus utilization:
+// a metered run and a bare run must agree exactly, and the throttle must
+// actually fire on the thrashing workload so the signal path is
+// exercised, at the counts pinned here.
+func TestMetricsDoNotPerturbAdaptive(t *testing.T) {
+	m, base := thrashCfg()
+	for mode, throttled := range map[string]int64{AdaptiveOG: 8, AdaptiveOGTG: 4} {
+		bare, err := Run(m, mode, base)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		cfg := base
+		cfg.Metrics = metrics.New(0)
+		metered, err := Run(m, mode, cfg)
+		if err != nil {
+			t.Fatalf("%s metered: %v", mode, err)
+		}
+		if cfg.Metrics.Samples() == 0 {
+			t.Fatalf("%s: metered run never sampled", mode)
+		}
+		bare.Config, metered.Config = Config{}, Config{}
+		if !reflect.DeepEqual(bare, metered) {
+			t.Errorf("%s: results diverged: iter %v vs %v, adaptive %+v vs %+v",
+				mode, bare.IterTime, metered.IterTime, bare.Adaptive, metered.Adaptive)
+		}
+		if bare.Adaptive.Throttled != throttled {
+			t.Errorf("%s: Throttled = %d, want %d", mode, bare.Adaptive.Throttled, throttled)
 		}
 	}
 }
@@ -84,7 +106,7 @@ func TestMetricsSubstance(t *testing.T) {
 	model := models.ResNet(50, 256)
 	reg := metrics.New(0)
 	cfg := Config{Iterations: 3, Metrics: reg}
-	res, err := RunCA(model, policy.CALMP, cfg)
+	res, err := Run(model, "CA:LMP", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

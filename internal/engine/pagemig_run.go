@@ -10,22 +10,13 @@ import (
 	"cachedarrays/internal/trace"
 )
 
-// RunPageMig executes a training run under the OS page-tiering baseline
-// (Table I's "Operating System" row — Nimble/HeMem-style): transparent,
-// reactive migration of fixed-size pages by observed hotness, with no
-// application hints. The application side gets the same best-case
-// treatment as 2LM:M (eager frees, the CachedArrays allocator over a
-// pre-allocated heap) so the comparison isolates the data-movement
-// mechanism.
-func RunPageMig(model *models.Model, pcfg pagemig.Config, cfg Config) (*Result, error) {
-	st, err := newPageMigStepper(model, pcfg, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
-}
-
-// pagemigStepper is the event-driven form of the OS page-tiering run.
+// pagemigStepper is a training run under the OS page-tiering baseline
+// (mode "OS:page"; Table I's "Operating System" row — Nimble/HeMem-style):
+// transparent, reactive migration of fixed-size pages by observed
+// hotness, with no application hints. The application side gets the same
+// best-case treatment as 2LM:M (eager frees, the CachedArrays allocator
+// over a pre-allocated heap) so the comparison isolates the
+// data-movement mechanism.
 type pagemigStepper struct {
 	model   *models.Model
 	pcfg    pagemig.Config

@@ -17,7 +17,7 @@ import (
 func TestPageMigBaselineOrdering(t *testing.T) {
 	m := resnetLarge
 	cfg := Config{Iterations: 2}
-	os, err := RunPageMig(m, pagemig.Config{}, cfg)
+	os, err := Run(m, "OS:page", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +42,10 @@ func TestPageMigBaselineOrdering(t *testing.T) {
 // model.
 func TestPageMigInvariants(t *testing.T) {
 	m := models.ResNet(50, 256)
-	r, err := RunPageMig(m, pagemig.Config{
+	r, err := drive(newPageMigStepper(m, pagemig.Config{
 		PageSize: 2 << 20, EpochKernels: 10, Decay: 0.5, PromoteMargin: 1.25,
 	}, Config{Iterations: 3, CheckInvariants: true,
-		FastCapacity: 8 * units.GB, SlowCapacity: 128 * units.GB})
+		FastCapacity: 8 * units.GB, SlowCapacity: 128 * units.GB}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestPageMigInvariants(t *testing.T) {
 // TestPageMigErrors exercises failure paths.
 func TestPageMigErrors(t *testing.T) {
 	m := models.MLP(1024, []int{4096}, 10, 64)
-	if _, err := RunPageMig(m, pagemig.Config{}, Config{
+	if _, err := Run(m, "OS:page", Config{
 		Iterations: 1, FastCapacity: units.MB, SlowCapacity: units.MB,
 	}); err == nil {
 		t.Error("over-capacity page-tiering run succeeded")
 	}
-	if _, err := RunPageMig(m, pagemig.Config{PageSize: -1}, Config{Iterations: 1}); err == nil {
+	if _, err := drive(newPageMigStepper(m, pagemig.Config{PageSize: -1}, Config{Iterations: 1}, nil)); err == nil {
 		t.Error("negative page size accepted")
 	}
 }

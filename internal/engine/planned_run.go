@@ -10,21 +10,12 @@ import (
 	"cachedarrays/internal/trace"
 )
 
-// RunPlanned executes a training run under a static, ahead-of-time plan
-// (the AutoTM-style "Compiler" row of Table I): every tensor's residency
-// was decided offline; the runtime just executes the placements and the
-// planned offload/restore copies. No hints, no adaptive policy.
-//
-// If the plan is nil, one is built from the model and the DRAM budget.
-func RunPlanned(model *models.Model, plan *planner.Plan, cfg Config) (*Result, error) {
-	st, err := newPlannedStepper(model, plan, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
-}
-
-// plannedStepper is the event-driven form of the AutoTM-style planned run.
+// plannedStepper is a training run under a static, ahead-of-time plan
+// (mode "AutoTM"; the AutoTM-style "Compiler" row of Table I): every
+// tensor's residency was decided offline; the runtime just executes the
+// placements and the planned offload/restore copies. No hints, no
+// adaptive policy. A nil plan is built from the model and the DRAM
+// budget.
 type plannedStepper struct {
 	model   *models.Model
 	plan    *planner.Plan

@@ -14,7 +14,7 @@ import (
 // regular CNN workloads (their reuse patterns are fully known offline).
 func TestPlannedCompetitiveOnCNNs(t *testing.T) {
 	for _, m := range []*models.Model{denseLarge, resnetLarge, vggLarge} {
-		pl, err := RunPlanned(m, nil, Config{Iterations: 2, CheckInvariants: true})
+		pl, err := Run(m, "AutoTM", Config{Iterations: 2, CheckInvariants: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestPlannedOffloadPatternExecutes(t *testing.T) {
 	if offload == 0 {
 		t.Fatal("no offloads planned")
 	}
-	r, err := RunPlanned(m, plan, cfg)
+	r, err := drive(newPlannedStepper(m, plan, cfg, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPlannedOffloadPatternExecutes(t *testing.T) {
 func TestPlannedPlanSizeMismatch(t *testing.T) {
 	m := models.MLP(16, []int{8}, 2, 4)
 	bad := &planner.Plan{Placement: make([]planner.Placement, 1)}
-	if _, err := RunPlanned(m, bad, Config{Iterations: 1}); err == nil {
+	if _, err := drive(newPlannedStepper(m, bad, Config{Iterations: 1}, nil)); err == nil {
 		t.Fatal("mismatched plan accepted")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cachedarrays/internal/metrics"
-	"cachedarrays/internal/policy"
 )
 
 // TestPooledPlatformReuseMatchesFresh is the platform-pooling property
@@ -18,7 +17,7 @@ import (
 // through a release would break this.
 func TestPooledPlatformReuseMatchesFresh(t *testing.T) {
 	cfg := Config{Iterations: 2}
-	base, err := RunCA(resnetLarge, policy.CALM, cfg)
+	base, err := Run(resnetLarge, "CA:LM", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,19 +30,19 @@ func TestPooledPlatformReuseMatchesFresh(t *testing.T) {
 		{Iterations: 2, CheckInvariants: true},
 	}
 	for _, d := range dirty {
-		if _, err := RunCA(resnetLarge, policy.CALM, d); err != nil {
+		if _, err := Run(resnetLarge, "CA:LM", d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	reg := metrics.New(0.5)
-	if _, err := RunCA(resnetLarge, policy.CALM, Config{Iterations: 2, Metrics: reg}); err != nil {
+	if _, err := Run(resnetLarge, "CA:LM", Config{Iterations: 2, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Samples() == 0 {
 		t.Fatal("metered dirty run recorded no samples")
 	}
 
-	again, err := RunCA(resnetLarge, policy.CALM, cfg)
+	again, err := Run(resnetLarge, "CA:LM", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +53,14 @@ func TestPooledPlatformReuseMatchesFresh(t *testing.T) {
 	// perturb the async timings (Copier.Async/WriteThreadCap are set per
 	// acquire, not trusted from the pooled platform).
 	acfg := Config{Iterations: 2, AsyncMovement: true}
-	async1, err := RunCA(resnetLarge, policy.CALM, acfg)
+	async1, err := Run(resnetLarge, "CA:LM", acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCA(resnetLarge, policy.CALM, cfg); err != nil {
+	if _, err := Run(resnetLarge, "CA:LM", cfg); err != nil {
 		t.Fatal(err)
 	}
-	async2, err := RunCA(resnetLarge, policy.CALM, acfg)
+	async2, err := Run(resnetLarge, "CA:LM", acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +75,13 @@ func TestPooledPlatformReuseMatchesFresh(t *testing.T) {
 func TestPoolRecyclesAcrossModes(t *testing.T) {
 	cfg := Config{Iterations: 1}
 	run := func() {
-		if _, err := RunCA(vggLarge, policy.CALM, cfg); err != nil {
+		if _, err := Run(vggLarge, "CA:LM", cfg); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run2LM(vggLarge, true, cfg); err != nil {
+		if _, err := Run(vggLarge, "2LM:M", cfg); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunPlanned(vggLarge, nil, cfg); err != nil {
+		if _, err := Run(vggLarge, "AutoTM", cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +112,7 @@ func TestPoolRecyclesAcrossModes(t *testing.T) {
 // concurrent same-key releases all land in one shard instead of leaking.
 func TestPoolConcurrentAcquireRelease(t *testing.T) {
 	shared := Config{Iterations: 1}
-	base, err := RunCA(vggLarge, policy.CALM, shared)
+	base, err := Run(vggLarge, "CA:LM", shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestPoolConcurrentAcquireRelease(t *testing.T) {
 				if w%2 == 1 { // half the workers churn distinct shards
 					cfg = distinct[(w+r)%len(distinct)]
 				}
-				if _, err := RunCA(vggLarge, policy.CALM, cfg); err != nil {
+				if _, err := Run(vggLarge, "CA:LM", cfg); err != nil {
 					errs <- err
 					return
 				}
@@ -148,7 +147,7 @@ func TestPoolConcurrentAcquireRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	again, err := RunCA(vggLarge, policy.CALM, shared)
+	again, err := Run(vggLarge, "CA:LM", shared)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 
 	"cachedarrays/internal/alloc"
 	"cachedarrays/internal/invariants"
@@ -34,10 +34,6 @@ type Stepper interface {
 	// flushes metrics and returns the platform to the pool (solo runs).
 	Finish() (*Result, error)
 }
-
-// ErrUnknownMode is returned by NewStepper for a mode name it does not
-// recognize (the scheduler normalizes aliases before retrying).
-var ErrUnknownMode = errors.New("engine: unknown mode")
 
 // Env is the execution environment a cluster dispatch loop shares between
 // the steppers it multiplexes. A nil Env (the solo path) makes each
@@ -136,6 +132,17 @@ func AcquirePlatform(cfg Config) (*memsim.Platform, func()) {
 	return acquirePlatform(cfg.withDefaults())
 }
 
+// Run executes a training run in the given operating mode (any Normalize
+// spelling) to completion on a pooled platform: the solo form of
+// NewStepper+Drive, and the one entry point every mode shares.
+func Run(m *models.Model, mode string, cfg Config) (*Result, error) {
+	st, err := NewStepper(m, mode, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return Drive(st)
+}
+
 // Drive runs a stepper to completion: the solo execution path, and the
 // proof obligation the cluster's N=1 property test leans on — a driven
 // stepper is the run.
@@ -148,12 +155,46 @@ func Drive(st Stepper) (*Result, error) {
 	return st.Finish()
 }
 
-// NewStepper builds the event-driven form of a run in the given canonical
-// operating mode ("2LM:0", "2LM:M", "CA:0", "CA:L", "CA:LM", "CA:LMP",
-// "CA:OG", "CA:TG", "CA:OGTG", "OS:page", "AutoTM"). It is the single
-// mode dispatcher underneath sched.RunMode and the cluster simulator.
+// Normalize canonicalizes a user-facing mode spelling ("os", "2LM:O",
+// "plan") to the canonical mode name results, cache keys and reports use.
+func Normalize(mode string) (string, error) {
+	switch strings.ToUpper(mode) {
+	case "2LM:0", "2LM:O":
+		return "2LM:0", nil
+	case "2LM:M":
+		return "2LM:M", nil
+	case "CA:0", "CA:O":
+		return "CA:0", nil
+	case "CA:L":
+		return "CA:L", nil
+	case "CA:LM":
+		return "CA:LM", nil
+	case "CA:LMP":
+		return "CA:LMP", nil
+	case "CA:OG":
+		return AdaptiveOG, nil
+	case "CA:TG":
+		return AdaptiveTG, nil
+	case "CA:OGTG", "CA:TGOG":
+		return AdaptiveOGTG, nil
+	case "OS:PAGE", "OS":
+		return "OS:page", nil
+	case "AUTOTM", "AUTOTM:PLAN", "PLAN":
+		return "AutoTM", nil
+	default:
+		return "", fmt.Errorf("engine: unknown mode %q (2LM:0, 2LM:M, CA:0, CA:L, CA:LM, CA:LMP, CA:OG, CA:TG, CA:OGTG, OS:page, AutoTM)", mode)
+	}
+}
+
+// NewStepper builds the event-driven form of a run in the given operating
+// mode (any Normalize spelling). It is the single mode dispatcher
+// underneath Run, the scheduler and the cluster simulator.
 func NewStepper(m *models.Model, mode string, cfg Config, env *Env) (Stepper, error) {
-	switch mode {
+	canon, err := Normalize(mode)
+	if err != nil {
+		return nil, err
+	}
+	switch canon {
 	case "2LM:0":
 		return new2LMStepper(m, false, cfg, env)
 	case "2LM:M":
@@ -166,13 +207,11 @@ func NewStepper(m *models.Model, mode string, cfg Config, env *Env) (Stepper, er
 		return newCAModeStepper(m, policy.CALM, cfg, env)
 	case "CA:LMP":
 		return newCAModeStepper(m, policy.CALMP, cfg, env)
-	case AdaptiveOG, AdaptiveTG, AdaptiveOGTG:
-		return newAdaptiveStepper(m, mode, cfg, env)
 	case "OS:page":
 		return newPageMigStepper(m, pagemig.DefaultConfig(), cfg, env)
 	case "AutoTM":
 		return newPlannedStepper(m, nil, cfg, env)
 	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownMode, mode)
+		return newAdaptiveStepper(m, canon, cfg, env)
 	}
 }

@@ -15,9 +15,9 @@ import (
 // byte counters bit-for-bit, per-iteration stall seconds by exact float
 // equality.
 func TestTraceConsistencyVGG416(t *testing.T) {
-	res, err := RunCA(vggLarge, policy.CALMP, Config{Iterations: 4, Trace: true})
+	res, err := Run(vggLarge, "CA:LMP", Config{Iterations: 4, Trace: true})
 	if err != nil {
-		t.Fatalf("RunCA: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(res.Trace) == 0 {
 		t.Fatal("Config.Trace set but Result.Trace empty")
@@ -53,7 +53,7 @@ func TestTraceConsistencyAllModes(t *testing.T) {
 	small := Config{Iterations: 3, Trace: true,
 		FastCapacity: 4 * units.GB, SlowCapacity: 64 * units.GB}
 	for _, mode := range policy.Modes {
-		res, err := RunCA(m, mode, small)
+		res, err := Run(m, mode.String(), small)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -64,7 +64,7 @@ func TestTraceConsistencyAllModes(t *testing.T) {
 	async := small
 	async.AsyncMovement = true
 	async.HintLookahead = 2
-	res, err := RunCA(m, policy.CALMP, async)
+	res, err := Run(m, "CA:LMP", async)
 	if err != nil {
 		t.Fatalf("async: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestTraceConsistencyAllModes(t *testing.T) {
 	}
 	cxl := small
 	cxl.SlowTier = "cxl"
-	res, err = RunCA(m, policy.CALMP, cxl)
+	res, err = Run(m, "CA:LMP", cxl)
 	if err != nil {
 		t.Fatalf("cxl: %v", err)
 	}
@@ -87,12 +87,12 @@ func TestTraceConsistencyAllModes(t *testing.T) {
 func TestTraceDoesNotPerturbRun(t *testing.T) {
 	m := models.ResNet(50, 128)
 	cfg := Config{Iterations: 3, FastCapacity: 4 * units.GB, SlowCapacity: 64 * units.GB}
-	plain, err := RunCA(m, policy.CALMP, cfg)
+	plain, err := Run(m, "CA:LMP", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Trace = true
-	traced, err := RunCA(m, policy.CALMP, cfg)
+	traced, err := Run(m, "CA:LMP", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 // appears in a copy event was bound to a tensor name first.
 func TestTraceBindsEveryObject(t *testing.T) {
 	m := models.ResNet(50, 128)
-	res, err := RunCA(m, policy.CALMP, Config{Iterations: 2, Trace: true,
+	res, err := Run(m, "CA:LMP", Config{Iterations: 2, Trace: true,
 		FastCapacity: 4 * units.GB, SlowCapacity: 64 * units.GB})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 )
 
 // TestTransformerGeneralizes runs the §VI generality claim: the same
@@ -16,15 +15,15 @@ func TestTransformerGeneralizes(t *testing.T) {
 	m := models.Transformer(cfg)
 
 	run := Config{Iterations: 2, CheckInvariants: true}
-	lm0, err := Run2LM(m, false, run)
+	lm0, err := Run(m, "2LM:0", run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	caLM, err := RunCA(m, policy.CALM, run)
+	caLM, err := Run(m, "CA:LM", run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	caL, err := RunCA(m, policy.CAL, run)
+	caL, err := Run(m, "CA:L", run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@ import (
 	"cachedarrays/internal/twolm"
 )
 
-// Run2LM executes a training run in the paper's baseline configuration:
-// Intel memory mode, where the whole heap lives in a flat NVRAM-backed
-// physical address space fronted by a transparent direct-mapped DRAM cache.
+// twolmStepper is a training run in the paper's baseline configuration
+// (modes "2LM:0" and "2LM:M"): Intel memory mode, where the whole heap
+// lives in a flat NVRAM-backed physical address space fronted by a
+// transparent direct-mapped DRAM cache.
 //
 // memOpt selects "2LM: M" (eagerly free dead tensors, so physical pages
 // are reused and stay cache-resident) versus "2LM: Ø" (rely on deferred
@@ -23,15 +24,6 @@ import (
 // pre-allocated heap (§IV-A: "we use 2LM with the CachedArrays allocator
 // as the baseline"), so allocation-side effects are identical across
 // systems and only the data-movement mechanism differs.
-func Run2LM(model *models.Model, memOpt bool, cfg Config) (*Result, error) {
-	st, err := new2LMStepper(model, memOpt, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
-}
-
-// twolmStepper is the event-driven form of the 2LM baseline run.
 type twolmStepper struct {
 	model   *models.Model
 	memOpt  bool

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/units"
 )
 
@@ -23,11 +22,11 @@ func TestJSONWorkloadRunsIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Iterations: 2, FastCapacity: 64 * units.MB, SlowCapacity: 8 * units.GB}
-	a, err := RunCA(orig, policy.CALM, cfg)
+	a, err := Run(orig, "CA:LM", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCA(loaded, policy.CALM, cfg)
+	b, err := Run(loaded, "CA:LM", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestJSONWorkloadRunsIdentically(t *testing.T) {
 // TestTraceEventsrecorded verifies the engine surfaces the event tail.
 func TestTraceEventsRecorded(t *testing.T) {
 	m := models.MLP(2048, []int{4096}, 100, 256)
-	r, err := RunCA(m, policy.CALM, Config{
+	r, err := Run(m, "CA:LM", Config{
 		Iterations: 1, FastCapacity: 32 * units.MB, SlowCapacity: units.GB,
 		TraceEvents: 32,
 	})
@@ -60,11 +59,11 @@ func TestTraceEventsRecorded(t *testing.T) {
 // TestAllocatorConfigErrors verifies unknown allocators fail fast.
 func TestAllocatorConfigErrors(t *testing.T) {
 	m := models.MLP(16, []int{8}, 2, 4)
-	if _, err := RunCA(m, policy.CALM, Config{Iterations: 1, Allocator: "slab"}); err == nil {
+	if _, err := Run(m, "CA:LM", Config{Iterations: 1, Allocator: "slab"}); err == nil {
 		t.Error("unknown allocator accepted")
 	}
 	// Buddy works end to end.
-	if _, err := RunCA(m, policy.CALM, Config{
+	if _, err := Run(m, "CA:LM", Config{
 		Iterations: 1, Allocator: "buddy",
 		FastCapacity: 64 * units.MB, SlowCapacity: units.GB, CheckInvariants: true,
 	}); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/units"
 )
 
@@ -138,11 +137,11 @@ func CheckClaims(opts Options) ([]Claim, error) {
 	{
 		resnet := buildModel(models.PaperLargeModels()[1], opts.Scale)
 		hcfg := engine.Config{Iterations: opts.Iterations, SampleHeap: true}
-		h0, err := engine.Run2LM(resnet, false, hcfg)
+		h0, err := engine.Run(resnet, "2LM:0", hcfg)
 		if err != nil {
 			return nil, err
 		}
-		hm, err := engine.Run2LM(resnet, true, hcfg)
+		hm, err := engine.Run(resnet, "2LM:M", hcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -155,16 +154,16 @@ func CheckClaims(opts Options) ([]Claim, error) {
 	// --- Fig. 7 ---
 	{
 		dense := buildModel(models.PaperSmallModels()[0], opts.Scale)
-		full, err := engine.RunCA(dense, policy.CALM, engine.Config{Iterations: opts.Iterations})
+		full, err := engine.Run(dense, "CA:LM", engine.Config{Iterations: opts.Iterations})
 		if err != nil {
 			return nil, err
 		}
-		none, err := engine.RunCA(dense, policy.CALM,
+		none, err := engine.Run(dense, "CA:LM",
 			engine.Config{Iterations: opts.Iterations, FastCapacity: engine.NVRAMOnly})
 		if err != nil {
 			return nil, err
 		}
-		small, err := engine.RunCA(dense, policy.CALM,
+		small, err := engine.Run(dense, "CA:LM",
 			engine.Config{Iterations: opts.Iterations, FastCapacity: 30 * units.GB / int64(opts.Scale)})
 		if err != nil {
 			return nil, err
@@ -177,7 +176,7 @@ func CheckClaims(opts Options) ([]Claim, error) {
 		add("fig7.small-dram",
 			"even a small amount of DRAM recovers most of that performance",
 			fmt.Sprintf("%.0f%% recovered at a 1/6 budget", 100*recovered), recovered >= 0.4)
-		async, err := engine.RunCA(dense, policy.CALM,
+		async, err := engine.Run(dense, "CA:LM",
 			engine.Config{Iterations: opts.Iterations, FastCapacity: 30 * units.GB / int64(opts.Scale),
 				AsyncMovement: true})
 		if err != nil {

@@ -163,8 +163,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return nil
 	}
 	h := &Histogram{name: name, min: math.Inf(1), max: math.Inf(-1)}
-	r.register(name+"_count", KindCounter, func() float64 { return float64(h.snapshot().Count) })
-	r.register(name+"_sum", KindCounter, func() float64 { return h.snapshot().Sum })
+	r.register(name+"_count", KindCounter, func() float64 { n, _ := h.totals(); return float64(n) })
+	r.register(name+"_sum", KindCounter, func() float64 { _, sum := h.totals(); return sum })
 	r.mu.Lock()
 	r.hists = append(r.hists, h)
 	r.mu.Unlock()
@@ -255,13 +255,11 @@ func (r *Registry) sample(now float64) {
 }
 
 // Value reads the live value of a registered series by name: the source
-// closure evaluated now, not the last sample. This is the read path
-// online-guidance policies steer by — the same per-tier bytes, bandwidth
-// utilization and decision counters the exports publish, consumed
-// mid-run to drive re-placement. The closure runs on the caller's
-// goroutine, which for policies is the simulation goroutine that owns
-// the sampled state. Returns (0, false) for unknown series or a nil
-// registry.
+// closure evaluated now, not the last sample — how a caller checks that
+// a series is registered and agrees with the state it publishes. The
+// closure runs on the caller's goroutine, so call it only from the
+// goroutine that owns the sampled state (the simulation's). Returns
+// (0, false) for unknown series or a nil registry.
 func (r *Registry) Value(name string) (float64, bool) {
 	if r == nil {
 		return 0, false
@@ -356,6 +354,15 @@ func (h *Histogram) Observe(v float64) {
 		h.buckets = map[int]int64{}
 	}
 	h.buckets[e]++
+}
+
+// totals reads the running count and sum under the lock: the sampled
+// <name>_count/<name>_sum columns' source, which must not pay a
+// snapshot's bucket-map rebuild on every sample.
+func (h *Histogram) totals() (int64, float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count, h.sum
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state.

@@ -304,6 +304,37 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramSamplingAllocFree: once the sample buffers exist, a
+// sample of a registry whose histogram holds observations allocates
+// nothing — the _count/_sum columns read the running totals, not a
+// snapshot with its bucket map.
+func TestHistogramSamplingAllocFree(t *testing.T) {
+	r := New(1)
+	h := r.Histogram("lat")
+	for _, v := range []float64{0, 0.75, 3, 3.5} {
+		h.Observe(v)
+	}
+	now := 1.0
+	r.Tick(now, 1) // the first sample allocates the buffers
+	allocs := testing.AllocsPerRun(100, func() {
+		now++
+		r.Tick(now, 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("sampling allocates %.1f per sample, want 0", allocs)
+	}
+	if r.Samples() != 102 {
+		t.Fatalf("samples = %d, want 102", r.Samples())
+	}
+	s := r.Summarize()
+	if got := s.Series["lat_count"].Last; got != 4 {
+		t.Errorf("lat_count = %g, want 4", got)
+	}
+	if got := s.Series["lat_sum"].Last; got != 7.25 {
+		t.Errorf("lat_sum = %g, want 7.25", got)
+	}
+}
+
 // TestHubServesTenantLabels: a registry registered with an explicit label
 // string is served with those labels verbatim, while plainly registered
 // registries keep the default run label — the cluster's per-tenant export.

@@ -4,8 +4,8 @@
 // Systems* (interval-based online profiling and re-placement) — on top of
 // the existing Tiered runtime. OnlineGuidance profiles object accesses
 // over virtual-time intervals and re-ranks fast-tier residency at each
-// boundary, steering by the same live metrics registry the exports
-// publish; ThrashGuard (thrashguard.go) adds Jenga-style responsiveness
+// boundary, steering by the slow tier's bus utilization — the Fig. 6
+// metric the exports publish as mem_<dev>_bw_util; ThrashGuard (thrashguard.go) adds Jenga-style responsiveness
 // without thrashing.
 package policy
 
@@ -103,17 +103,17 @@ type guideState struct {
 // that went cold while fast memory is tight and promotes hot
 // slow-resident objects into free fast memory (never by force — forced
 // promotion is exactly the churn the thrash guard exists to damp).
-// Placement pressure is read from the live metrics registry — the same
-// per-tier bandwidth-utilization series the Prometheus endpoint serves —
-// so the policy steers by the telemetry an operator would watch.
+// Bus pressure comes from a slow-tier utilization signal — the same
+// achieved-bandwidth-over-peak number the Prometheus endpoint serves as
+// mem_<dev>_bw_util — so the policy steers by the telemetry an operator
+// would watch, without needing a metrics registry to exist.
 type OnlineGuidance struct {
 	*Tiered
 	gcfg GuidanceConfig
 	now  func() float64
-	reg  *metrics.Registry
-	// slowUtil is the registry series carrying the slow tier's achieved
-	// bandwidth over mixed peak (e.g. "mem_nvram_bw_util").
-	slowUtil string
+	// slowUtil reports the slow tier's achieved bandwidth over its mixed
+	// peak; nil never throttles.
+	slowUtil func() float64
 
 	next   float64
 	order  []*dm.Object // live tracked objects in creation order (deterministic walks)
@@ -127,10 +127,10 @@ var (
 )
 
 // NewOnlineGuidance wraps base with interval re-placement. now is the
-// virtual clock (the policy never advances it), reg the live registry to
-// steer by (nil degrades to allocator-derived pressure only), slowUtil
-// the name of the slow tier's bw_util series in reg.
-func NewOnlineGuidance(base *Tiered, gcfg GuidanceConfig, now func() float64, reg *metrics.Registry, slowUtil string) *OnlineGuidance {
+// virtual clock (the policy never advances it); slowUtil is the slow
+// tier's bus-utilization signal (nil degrades to allocator-derived
+// pressure only). Neither may advance the clock or mutate state.
+func NewOnlineGuidance(base *Tiered, gcfg GuidanceConfig, now, slowUtil func() float64) *OnlineGuidance {
 	d := GuidanceDefaults()
 	if gcfg.Interval <= 0 {
 		gcfg.Interval = d.Interval
@@ -154,7 +154,6 @@ func NewOnlineGuidance(base *Tiered, gcfg GuidanceConfig, now func() float64, re
 		Tiered:   base,
 		gcfg:     gcfg,
 		now:      now,
-		reg:      reg,
 		slowUtil: slowUtil,
 		next:     gcfg.Interval,
 		gstate:   make(map[*dm.Object]*guideState),
@@ -258,7 +257,7 @@ func (g *OnlineGuidance) rebalance() {
 	g.astats.Rebalances++
 
 	budget := g.gcfg.MaxMoves
-	if util, ok := g.reg.Value(g.slowUtil); ok && util > g.gcfg.HighBWUtil {
+	if g.slowUtil != nil && g.slowUtil() > g.gcfg.HighBWUtil {
 		// The slow bus is already the bottleneck: every demotion
 		// writeback and promotion read would steal bandwidth the
 		// application is using. Halve the pass's churn.

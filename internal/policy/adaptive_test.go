@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cachedarrays/internal/dm"
-	"cachedarrays/internal/metrics"
 )
 
 // TestOnlineGuidancePromotesHot: a slow-resident object accessed hot
@@ -12,7 +11,7 @@ import (
 // promoted into free fast memory at the next guidance interval.
 func TestOnlineGuidancePromotesHot(t *testing.T) {
 	p, m, pol, _ := setup(t, CALM, 1_000_000, 1_000_000)
-	og := NewOnlineGuidance(pol, GuidanceConfig{}, p.Clock.Now, nil, "")
+	og := NewOnlineGuidance(pol, GuidanceConfig{}, p.Clock.Now, nil)
 	o, _ := m.NewObject(1000, dm.Slow)
 	for i := 0; i < 3; i++ {
 		og.WillRead(o)
@@ -37,7 +36,7 @@ func TestOnlineGuidancePromotesHot(t *testing.T) {
 // make headroom; without pressure nothing moves.
 func TestOnlineGuidanceDemotesCold(t *testing.T) {
 	p, m, pol, _ := setup(t, CALM, 1_000_000, 10_000_000)
-	og := NewOnlineGuidance(pol, GuidanceConfig{}, p.Clock.Now, nil, "")
+	og := NewOnlineGuidance(pol, GuidanceConfig{}, p.Clock.Now, nil)
 	cold, err := og.NewObject(900_000) // fills fast past the headroom threshold
 	if err != nil {
 		t.Fatal(err)
@@ -66,14 +65,12 @@ func TestOnlineGuidanceDemotesCold(t *testing.T) {
 }
 
 // TestOnlineGuidanceThrottlesOnBusyBus: a rebalance pass that reads high
-// slow-tier bandwidth utilization from the registry halves its move
-// budget and counts the throttle.
+// slow-tier bandwidth utilization from its signal halves its move budget
+// and counts the throttle.
 func TestOnlineGuidanceThrottlesOnBusyBus(t *testing.T) {
 	p, _, pol, _ := setup(t, CALM, 1_000_000, 1_000_000)
-	reg := metrics.New(0)
 	util := 0.0
-	reg.Gauge("slow_util", func() float64 { return util })
-	og := NewOnlineGuidance(pol, GuidanceConfig{}, p.Clock.Now, reg, "slow_util")
+	og := NewOnlineGuidance(pol, GuidanceConfig{}, p.Clock.Now, func() float64 { return util })
 	o, _ := og.NewObject(1000)
 	p.Clock.Advance(og.gcfg.Interval)
 	og.WillRead(o)
@@ -148,7 +145,7 @@ func TestThrashGuardSuppressedWriteStaysDirty(t *testing.T) {
 // combined AdaptiveStats total.
 func TestAdaptiveStatsCompose(t *testing.T) {
 	p, _, pol, _ := setup(t, CALMP, 1_000_000, 1_000_000)
-	og := NewOnlineGuidance(pol, GuidanceConfig{}, p.Clock.Now, nil, "")
+	og := NewOnlineGuidance(pol, GuidanceConfig{}, p.Clock.Now, nil)
 	tg := NewThrashGuard(og, pol, ThrashConfig{}, p.Clock.Now)
 	og.astats.Rebalances = 3
 	tg.astats.ThrashBackoffs = 2

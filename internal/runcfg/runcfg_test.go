@@ -14,7 +14,6 @@ import (
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
 	"cachedarrays/internal/sched"
 	"cachedarrays/internal/units"
 )
@@ -60,7 +59,7 @@ func smallRun(t *testing.T, sess *Session, name string, trace bool) {
 	cfg := engine.Config{Iterations: 2, Trace: trace,
 		FastCapacity: 2 * units.GB, SlowCapacity: 16 * units.GB}
 	done := sess.Apply(name, &cfg)
-	r, err := engine.RunCA(models.MLP(4096, []int{4096, 4096}, 1000, 16), policy.CALM, cfg)
+	r, err := engine.Run(models.MLP(4096, []int{4096, 4096}, 1000, 16), "CA:LM", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestSingleRunErrorsOnTracelessMode(t *testing.T) {
 	cfg := engine.Config{Iterations: 1,
 		FastCapacity: 2 * units.GB, SlowCapacity: 16 * units.GB}
 	done := sess.Apply("mlp3-2lm_0", &cfg)
-	r, err := engine.Run2LM(models.MLP(4096, []int{4096, 4096}, 1000, 16), false, cfg)
+	r, err := engine.Run(models.MLP(4096, []int{4096, 4096}, 1000, 16), "2LM:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestMultiRunSuffixesPathsAndSkipsTraceless(t *testing.T) {
 	cfg := engine.Config{Iterations: 1,
 		FastCapacity: 2 * units.GB, SlowCapacity: 16 * units.GB}
 	done := sess.Apply("sweep-2lm", &cfg)
-	r, err := engine.Run2LM(models.MLP(4096, []int{4096, 4096}, 1000, 16), false, cfg)
+	r, err := engine.Run(models.MLP(4096, []int{4096, 4096}, 1000, 16), "2LM:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 // the hasher cannot canonicalize (non-nil pointers carrying live state)
 // yield an error; Cacheable screens those out before Key is consulted.
 func Key(model *models.Model, mode string, cfg engine.Config) (string, error) {
-	canon, err := Normalize(mode)
+	canon, err := engine.Normalize(mode)
 	if err != nil {
 		return "", err
 	}

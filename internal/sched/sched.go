@@ -22,11 +22,9 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -290,7 +288,7 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 			}
 			simulated = true
 			s.sims.Add(1)
-			r, err := RunMode(m, c.Mode, c.Cfg)
+			r, err := engine.Run(m, c.Mode, c.Cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -308,7 +306,7 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 		r, hit = res.(*engine.Result), !simulated
 	} else {
 		s.sims.Add(1)
-		if r, err = RunMode(m, c.Mode, c.Cfg); err != nil {
+		if r, err = engine.Run(m, c.Mode, c.Cfg); err != nil {
 			return nil, false, err
 		}
 	}
@@ -372,53 +370,4 @@ func (s *Scheduler) Memo(key string, decode func([]byte) (any, error), compute f
 func Cacheable(cfg engine.Config) bool {
 	return !cfg.Trace && cfg.TraceEvents == 0 && cfg.FaultSpec == "" &&
 		!cfg.CheckEveryAdvance && !cfg.CheckInvariants && cfg.Metrics == nil
-}
-
-// Normalize canonicalizes a user-facing mode spelling ("os", "2LM:O",
-// "plan") to the scheduler's canonical mode name.
-func Normalize(mode string) (string, error) {
-	switch strings.ToUpper(mode) {
-	case "2LM:0", "2LM:O":
-		return "2LM:0", nil
-	case "2LM:M":
-		return "2LM:M", nil
-	case "CA:0", "CA:O":
-		return "CA:0", nil
-	case "CA:L":
-		return "CA:L", nil
-	case "CA:LM":
-		return "CA:LM", nil
-	case "CA:LMP":
-		return "CA:LMP", nil
-	case "CA:OG":
-		return "CA:OG", nil
-	case "CA:TG":
-		return "CA:TG", nil
-	case "CA:OGTG", "CA:TGOG":
-		return "CA:OGTG", nil
-	case "OS:PAGE", "OS":
-		return "OS:page", nil
-	case "AUTOTM", "AUTOTM:PLAN", "PLAN":
-		return "AutoTM", nil
-	default:
-		return "", fmt.Errorf("sched: unknown mode %q (2LM:0, 2LM:M, CA:0, CA:L, CA:LM, CA:LMP, CA:OG, CA:TG, CA:OGTG, OS:page, AutoTM)", mode)
-	}
-}
-
-// RunMode is the single authoritative mode dispatcher: it builds the
-// engine's event-driven stepper for a canonical mode name (any Normalize
-// spelling is accepted) and drives it to completion.
-func RunMode(m *models.Model, mode string, cfg engine.Config) (*engine.Result, error) {
-	st, err := engine.NewStepper(m, mode, cfg, nil)
-	if errors.Is(err, engine.ErrUnknownMode) {
-		canon, nerr := Normalize(mode)
-		if nerr != nil {
-			return nil, nerr
-		}
-		st, err = engine.NewStepper(m, canon, cfg, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return engine.Drive(st)
 }

@@ -371,29 +371,6 @@ func TestRunSummaryCountsFailures(t *testing.T) {
 	}
 }
 
-// TestNormalizeAliases pins the canonical names and the accepted alias
-// spellings (which must all share one cache key space).
-func TestNormalizeAliases(t *testing.T) {
-	want := map[string]string{
-		"2LM:0": "2LM:0", "2lm:o": "2LM:0", "2LM:M": "2LM:M",
-		"CA:0": "CA:0", "ca:o": "CA:0", "CA:L": "CA:L",
-		"ca:lm": "CA:LM", "CA:LMP": "CA:LMP",
-		"os": "OS:page", "OS:PAGE": "OS:page",
-		"AutoTM": "AutoTM", "plan": "AutoTM", "autotm:plan": "AutoTM",
-	}
-	for in, out := range want {
-		got, err := Normalize(in)
-		if err != nil {
-			t.Errorf("%s: %v", in, err)
-		} else if got != out {
-			t.Errorf("Normalize(%s) = %s, want %s", in, got, out)
-		}
-	}
-	if _, err := Normalize("NUMA"); err == nil {
-		t.Error("unknown mode normalized")
-	}
-}
-
 // FuzzConfigKey feeds arbitrary field values through the key and checks
 // the two properties the cache relies on: determinism (same inputs, same
 // key) and injectivity over the fuzzed fields (any differing field gives

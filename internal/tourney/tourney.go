@@ -187,7 +187,7 @@ func (o Options) withDefaults() (Options, error) {
 		o.Modes = DefaultModes()
 	}
 	for i, m := range o.Modes {
-		canon, err := sched.Normalize(m)
+		canon, err := engine.Normalize(m)
 		if err != nil {
 			return o, err
 		}

@@ -158,9 +158,6 @@ func (c *Cache) LineSize() int64 { return c.cfg.LineSize }
 // maintained incrementally by Access, so this is O(1).
 func (c *Cache) OccupiedLines() int64 { return c.occupied }
 
-// DirtyLines returns how many sets hold a dirty line, also O(1).
-func (c *Cache) DirtyLines() int64 { return c.dirtyCnt }
-
 // Cost breaks an access's service time into overlappable components.
 type Cost struct {
 	// App is the DRAM data-array time for the application's own bytes —
