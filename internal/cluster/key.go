@@ -29,7 +29,8 @@ import (
 //     the presence is hashed.
 //
 // The format header keeps the cluster key space disjoint from the solo
-// key space inside the one shared cache and flight group.
+// key space inside the one shared cache and flight group, and carries
+// engine.SimVersion so a simulator semantics change retires old entries.
 func Key(cfg Config) (string, error) {
 	tenants, ecfg, err := prepare(cfg)
 	if err != nil {
@@ -42,8 +43,8 @@ func Key(cfg Config) (string, error) {
 // prepare it has to do anyway).
 func runKey(cfg Config, tenants []*tenant, ecfg engine.Config) (string, error) {
 	h := sha256.New()
-	fmt.Fprintf(h, "cachedarrays-cluster v1\nbaselines=%t\njobs=%d\n",
-		cfg.Baselines != nil, len(tenants))
+	fmt.Fprintf(h, "cachedarrays-cluster v1\nsim=%d\nbaselines=%t\njobs=%d\n",
+		engine.SimVersion, cfg.Baselines != nil, len(tenants))
 	if err := sched.HashConfig(h, "platform", ecfg); err != nil {
 		return "", err
 	}

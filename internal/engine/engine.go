@@ -21,6 +21,15 @@ import (
 	"cachedarrays/internal/units"
 )
 
+// SimVersion versions the simulator's result semantics. Every result-cache
+// key folds it in, so a change that moves any simulated number must bump
+// it: a cache directory filled by an older build then misses instead of
+// serving results the current simulator would not produce.
+//
+//	1: the result cache's first key format.
+//	2: page-migration epochs order candidates by (hotness, page).
+const SimVersion = 2
+
 // Config parameterizes a run. Zero fields take paper defaults.
 type Config struct {
 	// FastCapacity is the DRAM budget (paper: 180 GB; Fig. 7 sweeps it).

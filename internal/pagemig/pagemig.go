@@ -17,7 +17,8 @@ package pagemig
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"cachedarrays/internal/memsim"
 )
@@ -75,6 +76,9 @@ type Migrator struct {
 	hot       []float64
 	fastUsed  int64
 	stats     Stats
+
+	// Candidate buffers reused across epochs.
+	slowBuf, fastBuf []cand
 }
 
 // New builds a migrator whose address space spans the slow device.
@@ -161,65 +165,171 @@ func (m *Migrator) Access(addr, size int64, write bool, access memsim.Access) Ac
 // migration time is returned (the caller charges it to the clock — the
 // paper's OS baselines pay this on the application's critical path via
 // page faults and TLB shootdowns).
+//
+// Candidates are ordered strictly: slow pages by (hotness desc, page
+// asc), fast victims by (hotness asc, page asc), so the epoch never
+// depends on a sort's tie order. One pass over the pages gathers both
+// lists from the pre-decay hotness and decays it; the migration loop
+// reads only the gathered copies. The loop moves at least one page per
+// slow candidate it inspects, so with a budget it can inspect at most
+// ceil(MaxMigrateBytes/PageSize) of them: only that prefix of each list
+// is selected and sorted.
 func (m *Migrator) Epoch() float64 {
 	m.stats.Epochs++
-	type cand struct {
-		pg  int64
-		hot float64
-	}
-	var slowHot, fastCold []cand
-	for pg := int64(0); pg < m.numPages; pg++ {
-		if m.hot[pg] > 0 && !m.inFast[pg] {
-			slowHot = append(slowHot, cand{pg, m.hot[pg]})
-		} else if m.inFast[pg] {
-			fastCold = append(fastCold, cand{pg, m.hot[pg]})
+	slow, fast := m.slowBuf[:0], m.fastBuf[:0]
+	decay := m.cfg.Decay
+	for pg, h := range m.hot {
+		if m.inFast[pg] {
+			fast = append(fast, cand{h, int64(pg)})
+		} else if h > 0 {
+			slow = append(slow, cand{-h, int64(pg)})
 		}
+		m.hot[pg] = h * decay
 	}
-	sort.Slice(slowHot, func(i, j int) bool { return slowHot[i].hot > slowHot[j].hot })
-	sort.Slice(fastCold, func(i, j int) bool { return fastCold[i].hot < fastCold[j].hot })
+	m.slowBuf, m.fastBuf = slow, fast
+
+	ps := m.cfg.PageSize
+	budget := m.cfg.MaxMigrateBytes
+	k := len(slow)
+	if budget > 0 {
+		pages := budget / ps
+		if budget%ps != 0 {
+			pages++
+		}
+		k = int(min(int64(k), pages))
+	}
+	slow = slow[:sortPrefix(slow, k)]
+	fast = fast[:sortPrefix(fast, k)]
 
 	var elapsed float64
 	var moved int64
-	budget := m.cfg.MaxMigrateBytes
 	ci := 0
-	for _, s := range slowHot {
+	for _, s := range slow {
 		if budget > 0 && moved >= budget {
 			break
 		}
 		if m.fastUsed < m.fastQuota {
 			// Free DRAM: promotion costs one page copy up.
-			elapsed += m.copier.Copy(m.fast, 0, m.slow, s.pg*m.cfg.PageSize%m.slow.Capacity, m.cfg.PageSize)
+			elapsed += m.copier.Copy(m.fast, 0, m.slow, s.pg*ps%m.slow.Capacity, ps)
 			m.inFast[s.pg] = true
 			m.fastUsed++
 			m.stats.Promotions++
-			m.stats.PromotedBytes += m.cfg.PageSize
-			moved += m.cfg.PageSize
+			m.stats.PromotedBytes += ps
+			moved += ps
 			continue
 		}
 		// Must displace the coldest fast page — only worth it with a
 		// hotness margin.
-		if ci >= len(fastCold) {
+		if ci >= len(fast) {
 			break
 		}
-		victim := fastCold[ci]
-		if s.hot < victim.hot*m.cfg.PromoteMargin+1 {
+		victim := fast[ci]
+		if -s.key < victim.key*m.cfg.PromoteMargin+1 {
 			break // remaining candidates are colder still
 		}
 		ci++
 		// Demote victim (fast -> slow), promote candidate.
-		elapsed += m.copier.Copy(m.slow, victim.pg*m.cfg.PageSize%m.slow.Capacity, m.fast, 0, m.cfg.PageSize)
-		elapsed += m.copier.Copy(m.fast, 0, m.slow, s.pg*m.cfg.PageSize%m.slow.Capacity, m.cfg.PageSize)
+		elapsed += m.copier.Copy(m.slow, victim.pg*ps%m.slow.Capacity, m.fast, 0, ps)
+		elapsed += m.copier.Copy(m.fast, 0, m.slow, s.pg*ps%m.slow.Capacity, ps)
 		m.inFast[victim.pg] = false
 		m.inFast[s.pg] = true
 		m.stats.Demotions++
 		m.stats.Promotions++
-		m.stats.DemotedBytes += m.cfg.PageSize
-		m.stats.PromotedBytes += m.cfg.PageSize
-		moved += 2 * m.cfg.PageSize
-	}
-	for pg := range m.hot {
-		m.hot[pg] *= m.cfg.Decay
+		m.stats.DemotedBytes += ps
+		m.stats.PromotedBytes += ps
+		moved += 2 * ps
 	}
 	m.stats.MigrateTime += elapsed
 	return elapsed
+}
+
+// cand is one page an epoch considers, ordered ascending by (key, pg).
+// key is the pre-decay hotness for fast victims (coldest first) and its
+// negation for slow candidates (hottest first); negation is exact, and
+// the page number breaks ties, so the order is strict and total.
+type cand struct {
+	key float64
+	pg  int64
+}
+
+func (a cand) less(b cand) bool {
+	return a.key < b.key || (a.key == b.key && a.pg < b.pg)
+}
+
+// sortPrefix reorders c so that c[:k] holds its k least candidates in
+// ascending order, and returns k clamped to len(c). It is a partial
+// quicksort — expected O(len(c) + k log k) — that falls back to a full
+// sort of the remaining range if partitioning degenerates.
+func sortPrefix(c []cand, k int) int {
+	k = min(k, len(c))
+	partialSort(c, k, 2*bits.Len(uint(len(c))))
+	return k
+}
+
+func partialSort(c []cand, k, depth int) {
+	for len(c) > 12 && k > 0 {
+		if depth == 0 {
+			slices.SortFunc(c, func(a, b cand) int {
+				if a.less(b) {
+					return -1
+				}
+				if b.less(a) {
+					return 1
+				}
+				return 0
+			})
+			return
+		}
+		depth--
+		p := partition(c)
+		if k <= p+1 {
+			// The prefix ends at or before the pivot; a k beyond the
+			// shorter range just sorts all of it.
+			c = c[:p]
+			continue
+		}
+		partialSort(c[:p], p, depth)
+		c, k = c[p+1:], k-p-1
+	}
+	if k > 0 {
+		for i := 1; i < len(c); i++ {
+			for j := i; j > 0 && c[j].less(c[j-1]); j-- {
+				c[j], c[j-1] = c[j-1], c[j]
+			}
+		}
+	}
+}
+
+// partition moves the median of c's first, middle and last elements to
+// its final index p and returns p: c[:p] < c[p] < c[p+1:].
+func partition(c []cand) int {
+	n, mid := len(c), len(c)/2
+	if c[mid].less(c[0]) {
+		c[mid], c[0] = c[0], c[mid]
+	}
+	if c[n-1].less(c[0]) {
+		c[n-1], c[0] = c[0], c[n-1]
+	}
+	if c[n-1].less(c[mid]) {
+		c[n-1], c[mid] = c[mid], c[n-1]
+	}
+	c[0], c[mid] = c[mid], c[0]
+	pivot := c[0]
+	i, j := 1, n-1
+	for {
+		for i <= j && c[i].less(pivot) {
+			i++
+		}
+		for i <= j && pivot.less(c[j]) {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		c[i], c[j] = c[j], c[i]
+		i++
+		j--
+	}
+	c[0], c[j] = c[j], c[0]
+	return j
 }

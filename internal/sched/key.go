@@ -12,8 +12,9 @@ import (
 )
 
 // Key computes the content-addressed cache key of one run: a SHA-256 over
-// the canonical (default-resolved) engine config, the canonical mode name
-// and the model's deterministic JSON serialization. The run *name* is
+// a format header carrying engine.SimVersion, the canonical
+// (default-resolved) engine config, the canonical mode name and the
+// model's deterministic JSON serialization. The run *name* is
 // deliberately not part of the key: two drivers submitting the same
 // (model, mode, config) cell — the baselines table re-running a matrix
 // cell, fig7async's synchronous points re-running fig7's — address the
@@ -30,7 +31,7 @@ func Key(model *models.Model, mode string, cfg engine.Config) (string, error) {
 		return "", err
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "cachedarrays-run v1\nmode=%s\n", canon)
+	fmt.Fprintf(h, "cachedarrays-run v1\nsim=%d\nmode=%s\n", engine.SimVersion, canon)
 	if err := hashValue(h, "cfg", reflect.ValueOf(cfg.Canonical())); err != nil {
 		return "", err
 	}
